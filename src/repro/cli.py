@@ -1475,7 +1475,7 @@ def _build_state_fleet(
 def _drive_state_rounds(fleet, rounds: int, interval: float) -> None:
     for _ in range(rounds):
         fleet.scheduler.clock.advance_by(interval)
-        fleet.poll_scheduler.poll_batch()
+        fleet.poll_all()
 
 
 def _cmd_state_save(args: argparse.Namespace) -> int:
@@ -1552,8 +1552,9 @@ def _cmd_state_load(args: argparse.Namespace) -> int:
         str(meta["seed"]), int(meta["nodes"]), int(meta["fillers"]),
         bool(meta["push_mode"]),
     )
+    verifier = fleet.verifier
     try:
-        restored = restore_verifier(fleet.verifier, body)
+        restored = restore_verifier(verifier, body)
     except IntegrityError as exc:
         print(f"snapshot rejected: {exc}", file=sys.stderr)
         return 1
@@ -1562,24 +1563,22 @@ def _cmd_state_load(args: argparse.Namespace) -> int:
     print(f"restored {len(restored)} agent(s) from {args.snapshot_file} "
           f"({mode} mode, zero re-enrollments)")
     for agent_id in restored:
-        slot_state = fleet.verifier.state_of(agent_id).value
-        offset = fleet.verifier.verified_entries_of(agent_id)
+        slot_state = verifier.state_of(agent_id).value
+        offset = verifier.verified_entries_of(agent_id)
         print(f"  {agent_id:<16s} state={slot_state:<12s} "
               f"replay offset={offset}")
     if args.resume > 0:
         _drive_state_rounds(fleet, args.resume, float(meta["interval"]))
         print(f"resumed {args.resume} round(s):")
         for agent_id in restored:
-            results = fleet.verifier.results_of(agent_id)
+            results = verifier.results_of(agent_id)
             fresh = results[-args.resume:]
             green = sum(1 for result in fresh if result.ok)
             print(f"  {agent_id:<16s} {green}/{len(fresh)} green, "
-                  f"offset now {fleet.verifier.verified_entries_of(agent_id)}")
-        if fleet.verifier.audit is not None:
-            fleet.verifier.audit.verify_chain()
-            print(f"audit chain verified: "
-                  f"{len(fleet.verifier.audit)} records, "
-                  f"head {fleet.verifier.audit.head_hash[:16]}...")
+                  f"offset now {verifier.verified_entries_of(agent_id)}")
+        fleet.audit.verify_chain()
+        print(f"audit chain verified: {len(fleet.audit)} records, "
+              f"head {fleet.audit.head_hash[:16]}...")
     return 0
 
 

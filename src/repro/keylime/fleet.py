@@ -1,20 +1,20 @@
-"""Fleet management: one verifier, many attested nodes.
+"""Fleet management: many attested nodes, one verifier coordinator.
 
 The paper's motivation is cloud providers attesting *large fleets*; the
 tenant tool exists to "manage groups of attested nodes".  This module
 provides that layer on top of the single-node stack:
 
-* :class:`Fleet` provisions N identical machines (same baseline package
-  set, each with its own manufactured TPM), registers and onboards all
-  of them against one shared runtime policy -- the point of the
-  mirror-derived dynamic policy is precisely that identical nodes can
-  share it;
-* fleet-wide operations: sync-once/update-everywhere cycles, polling
-  every node, and status roll-ups;
-* revocation wiring: a fleet-level :class:`QuarantineListener` so a
-  single compromised node is fenced without touching its siblings;
-* a :class:`VerificationScheduler` that batches the whole fleet's
-  attestation rounds into one tick and shares a single
+* :class:`Fleet` owns the machines, the policy and the update cycle: N
+  identical machines (same baseline package set, each with its own
+  manufactured TPM) onboarded against one shared runtime policy -- the
+  point of the mirror-derived dynamic policy is precisely that
+  identical nodes can share it -- plus a fleet-level
+  :class:`QuarantineListener` that fences one compromised node alone;
+* :class:`VerifierFleet` owns every verifier: ring, shard hosts,
+  batches, probe, checkpoints, failover, join, leave and migration.  A
+  fleet always holds exactly one, with one member unless sharded;
+* a :class:`VerificationScheduler` per shard batches its attestation
+  rounds into one tick and shares a single
   :class:`repro.keylime.policy.VerdictCache` across every node --
   same-distro nodes measure nearly identical files, so policy
   evaluation costs O(unique digests), not O(nodes x entries).
@@ -22,7 +22,7 @@ provides that layer on top of the single-node stack:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 from repro.common.clock import Scheduler
@@ -80,15 +80,15 @@ class FleetUpdateReport:
 
 
 class VerificationScheduler:
-    """Batches many agents' attestation rounds into shared ticks.
+    """Batches one verifier's attestation rounds into shared ticks.
 
-    Instead of one scheduler timer per agent, the fleet registers every
-    agent here and the scheduler drives them all through the verifier's
-    staged pipeline in a single ``fleet.poll_batch`` span per tick.
-    Because the rounds run back-to-back against one verifier (and
-    therefore one shared :class:`~repro.keylime.policy.VerdictCache`),
-    the first node of a same-distro batch warms the cache and every
-    subsequent node's policy evaluation is almost entirely hits.
+    Instead of one scheduler timer per agent, every agent a shard
+    attests is registered here and one batch drives them all through
+    the verifier's staged pipeline in a single span per tick.  Because
+    the rounds run back-to-back against one verifier (and therefore one
+    shared :class:`~repro.keylime.policy.VerdictCache`), the first node
+    of a same-distro batch warms the cache and every subsequent node's
+    policy evaluation is almost entirely hits.
     """
 
     def __init__(
@@ -107,8 +107,6 @@ class VerificationScheduler:
         # list scan made that O(fleet) per call.  The list still owns
         # the batch order.
         self._registered: set[str] = set()
-        self._stop: object | None = None
-        self._push_timers: list = []
         # Push-cadence accounting accumulators, flushed by the reap tick.
         self._push_wall = 0.0
         self._push_polled = 0
@@ -142,76 +140,39 @@ class VerificationScheduler:
     def poll_batch(self) -> dict[str, AttestationResult]:
         """One attestation round for every still-attesting agent.
 
-        In push mode this delegates to :meth:`push_batch`: the same
-        agents, in the same order, drive their own negotiate/submit
-        exchanges instead of being polled.
-        """
-        if self.push_mode:
-            return self.push_batch()
-        telemetry = obs.get()
-        results: dict[str, AttestationResult] = {}
-        skipped = 0
-        wall_start = perf_counter()
-        with telemetry.tracer.span(
-            "fleet.poll_batch", agents=len(self._agents)
-        ) as span:
-            for agent_id in self._agents:
-                # SUSPECT nodes stay in the batch (the anti-P2
-                # invariant); only FAILED/STOPPED/QUARANTINED drop out.
-                if self.verifier.state_of(agent_id) in POLLABLE_STATES:
-                    results[agent_id] = self.verifier.poll(agent_id)
-                else:
-                    skipped += 1
-            span.set_attribute("polled", len(results))
-            span.set_attribute("skipped", skipped)
-            cache = self.verifier.verdict_cache
-            if cache is not None:
-                span.set_attribute("cache_hit_ratio", round(cache.hit_ratio, 4))
-        if skipped:
-            telemetry.registry.counter(
-                "fleet_poll_skipped_total",
-                "Registered agents skipped as non-pollable during batch ticks",
-            ).inc(skipped)
-        self.accounting.observe_tick(
-            self.verifier.scheduler.clock.now,
-            wall_seconds=perf_counter() - wall_start,
-            registered=len(self._agents),
-            polled=len(results),
-            skipped=skipped,
-            registry=telemetry.registry,
-        )
-        return results
-
-    def push_batch(self) -> dict[str, AttestationResult]:
-        """One agent-driven push exchange per still-attesting agent.
-
-        The manual-driving analogue of :meth:`poll_batch` for push
-        mode: every pollable agent runs its negotiate -> submit ->
-        verdict exchange (in registration order, against the shared
-        verdict cache), then the verifier reaps any session left to
-        expire.  Agents whose exchange never produced a result
+        In pull mode the verifier polls each agent (span
+        ``fleet.poll_batch``).  In push mode (span ``fleet.push_batch``)
+        the same agents, in the same order, run their own negotiate ->
+        submit -> verdict exchanges, then the verifier reaps any session
+        left to expire; agents whose exchange never produced a result
         (abandoned delivery, protocol rejection) are absent from the
         returned mapping -- the reaper accounts for their silence.
         """
         telemetry = obs.get()
+        verifier = self.verifier
+        push = self.push_mode
+        run_round = verifier.push_round if push else verifier.poll
         results: dict[str, AttestationResult] = {}
         skipped = 0
         wall_start = perf_counter()
         with telemetry.tracer.span(
-            "fleet.push_batch", agents=len(self._agents)
+            "fleet.push_batch" if push else "fleet.poll_batch",
+            agents=len(self._agents),
         ) as span:
             for agent_id in self._agents:
-                if self.verifier.state_of(agent_id) in POLLABLE_STATES:
-                    result = self.verifier.push_round(agent_id)
-                    if result is not None:
-                        results[agent_id] = result
-                else:
+                # SUSPECT nodes stay in the batch (the anti-P2
+                # invariant); only FAILED/STOPPED/QUARANTINED drop out.
+                if verifier.state_of(agent_id) not in POLLABLE_STATES:
                     skipped += 1
-            reaped = self.verifier.reap_push_sessions()
-            span.set_attribute("pushed", len(results))
+                    continue
+                result = run_round(agent_id)
+                if result is not None:
+                    results[agent_id] = result
+            span.set_attribute("pushed" if push else "polled", len(results))
             span.set_attribute("skipped", skipped)
-            span.set_attribute("reaped", len(reaped))
-            cache = self.verifier.verdict_cache
+            if push:
+                span.set_attribute("reaped", len(verifier.reap_push_sessions()))
+            cache = verifier.verdict_cache
             if cache is not None:
                 span.set_attribute("cache_hit_ratio", round(cache.hit_ratio, 4))
         if skipped:
@@ -220,7 +181,7 @@ class VerificationScheduler:
                 "Registered agents skipped as non-pollable during batch ticks",
             ).inc(skipped)
         self.accounting.observe_tick(
-            self.verifier.scheduler.clock.now,
+            verifier.scheduler.clock.now,
             wall_seconds=perf_counter() - wall_start,
             registered=len(self._agents),
             polled=len(results),
@@ -229,7 +190,7 @@ class VerificationScheduler:
         )
         return results
 
-    def _push_agent_tick(self, agent_id: str) -> None:
+    def push_tick(self, agent_id: str) -> None:
         """One agent's self-scheduled push round."""
         if self.verifier.state_of(agent_id) not in POLLABLE_STATES:
             self._push_skipped += 1
@@ -240,7 +201,7 @@ class VerificationScheduler:
         if result is not None:
             self._push_polled += 1
 
-    def _reap_tick(self) -> None:
+    def reap_tick(self) -> None:
         """The verifier's own push-mode tick: reap expired sessions only."""
         telemetry = obs.get()
         wall_start = perf_counter()
@@ -258,58 +219,6 @@ class VerificationScheduler:
         self._push_wall = 0.0
         self._push_polled = 0
         self._push_skipped = 0
-
-    def start(
-        self,
-        scheduler: Scheduler,
-        interval: float,
-        tick_budget: float | None = None,
-    ) -> None:
-        """Tick the batch every *interval* simulated seconds.
-
-        *tick_budget* is the accountant's per-tick busy budget; it
-        defaults to the interval (one tick must fit in one interval).
-
-        In push mode the cadence inverts: each agent gets its own
-        ``push:<agent>`` timer driving its exchanges (the agents own
-        their cadence), and the verifier's tick -- ``fleet-push-reap``,
-        registered after the agent timers so it runs last within a
-        coincident tick -- only reaps expired sessions and flushes the
-        interval's accounting.
-        """
-        self.stop()
-        if self.push_mode:
-            for agent_id in self._agents:
-                self._push_timers.append(
-                    scheduler.every(
-                        interval,
-                        (lambda aid=agent_id: self._push_agent_tick(aid)),
-                        label=f"push:{agent_id}",
-                    )
-                )
-            self._stop = scheduler.every(
-                interval, self._reap_tick, label="fleet-push-reap"
-            )
-        else:
-            self._stop = scheduler.every(
-                interval, self.poll_batch, label="fleet-poll-batch"
-            )
-        self.accounting.configure(
-            interval=getattr(self._stop, "interval", interval),
-            budget=tick_budget,
-            timer=getattr(self._stop, "label", "fleet-poll-batch"),
-        )
-
-    def stop(self) -> None:
-        """Cancel the periodic batch tick(s).  Idempotent."""
-        stop = self._stop
-        if callable(stop):
-            self._stop = None
-            stop()
-        timers, self._push_timers = self._push_timers, []
-        for cancel in timers:
-            if callable(cancel):
-                cancel()
 
 
 class Fleet:
@@ -352,7 +261,11 @@ class Fleet:
         matching fault specs is bit-identical to no plan at all.
         ``quarantine_after`` is the verifier's suspect-window budget.
 
-        ``tick_budget`` seeds the batch scheduler's
+        The verifier settings are captured once by ``verifiers``, the
+        fleet's one-member :class:`VerifierFleet`; sharding replaces it
+        and builds every shard from the same settings.
+
+        ``tick_budget`` seeds each batch scheduler's
         :class:`repro.obs.capacity.TickBudgetAccountant`: the busy
         seconds one batch tick may spend before it counts as an
         overrun.  Left ``None`` it defaults to the polling interval
@@ -379,7 +292,6 @@ class Fleet:
         self.notifier = RevocationNotifier(events=self.events)
         self.quarantine = QuarantineListener()
         self.notifier.subscribe(self.quarantine)
-        self.audit = AuditLog()
         self.registrar = KeylimeRegistrar(
             [manufacturer.root_certificate], events=self.events
         )
@@ -391,20 +303,12 @@ class Fleet:
         if fault_plan is not None:
             fault_plan.bind_clock(scheduler.clock)
         self.push_mode = push_mode
-        verifier_kwargs = {}
-        if push_session_ttl is not None:
-            verifier_kwargs["push_session_ttl"] = push_session_ttl
-        self.verifier = KeylimeVerifier(
-            self.registrar, scheduler, rng.fork("verifier"), events=self.events,
+        self.verifiers = VerifierFleet._single(
+            self, rng, tick_budget,
             continue_on_failure=continue_on_failure,
-            notifier=self.notifier, audit=self.audit,
-            verdict_cache=self.verdict_cache,
-            retry_policy=retry_policy, quarantine_after=quarantine_after,
-            **verifier_kwargs,
-        )
-        self.poll_scheduler = VerificationScheduler(
-            self.verifier, events=self.events, tick_budget=tick_budget,
-            push_mode=push_mode,
+            retry_policy=retry_policy,
+            quarantine_after=quarantine_after,
+            push_session_ttl=push_session_ttl,
         )
 
         self.nodes: list[FleetNode] = []
@@ -426,8 +330,7 @@ class Fleet:
                 verifier_side = JsonTransportAgent(agent)
             else:
                 verifier_side = agent
-            self.verifier.add_agent(verifier_side, policy)
-            self.poll_scheduler.register(agent.agent_id)
+            self.verifiers.enroll(verifier_side, policy)
             self.nodes.append(FleetNode(name=name, machine=machine, apt=apt, agent=agent))
 
     def __len__(self) -> int:
@@ -440,62 +343,55 @@ class Fleet:
                 return node
         raise KeyError(f"fleet has no node {name!r}")
 
+    # -- the verifier coordinator ---------------------------------------------
+
+    def _sole_shard(self) -> ShardHost:
+        host, *others = self.verifiers.shards.values()
+        if others:
+            raise StateError("fleet is sharded: ask "
+                             "fleet.verifiers.verifier_for(agent_id) instead")
+        return host
+
+    @property
+    def verifier(self) -> KeylimeVerifier:
+        """The fleet's only verifier; raises once the fleet is sharded."""
+        return self._sole_shard().verifier
+
+    @property
+    def audit(self) -> AuditLog:
+        """The only verifier's audit log; raises once the fleet is sharded."""
+        return self._sole_shard().audit
+
+    @property
+    def poll_scheduler(self) -> VerificationScheduler:
+        """The only verifier's batch; raises once the fleet is sharded."""
+        return self._sole_shard().batch
+
     # -- attestation -------------------------------------------------------
 
     def poll_all(self) -> dict[str, AttestationResult]:
-        """One attestation round against every still-attesting node.
-
-        Rounds are routed through the shared
-        :class:`VerificationScheduler` batch, so all nodes of the tick
-        hit one verdict cache back-to-back.
-        """
-        telemetry = obs.get()
-        by_agent = self.poll_scheduler.poll_batch()
+        """:meth:`VerifierFleet.poll_all`, with results keyed by node name."""
+        by_agent = self.verifiers.poll_all()
         names = {node.agent.agent_id: node.name for node in self.nodes}
-        results = {names[agent_id]: result for agent_id, result in by_agent.items()}
-        self._record_rollups(telemetry.registry)
-        self.events.emit(
-            self.scheduler.clock.now, "keylime.fleet", "fleet.polled",
-            polled=len(results),
-            ok=sum(1 for result in results.values() if result.ok),
-            healthy=self.healthy_count(),
-        )
-        return results
-
-    def _record_rollups(self, registry) -> None:
-        """Refresh the fleet-wide state gauges."""
-        by_state: dict[str, int] = {}
-        for state in self.status().values():
-            by_state[state] = by_state.get(state, 0) + 1
-        nodes_gauge = registry.gauge(
-            "fleet_nodes", "Fleet nodes by verifier state", ("state",),
-        )
-        for state in AgentState:
-            nodes_gauge.labels(state=state.value).set(by_state.get(state.value, 0))
-        registry.gauge(
-            "fleet_quarantined_nodes", "Nodes currently quarantined",
-        ).set(len(self.quarantine.quarantined))
+        return {names[agent_id]: result for agent_id, result in by_agent.items()}
 
     def start_polling(
         self, interval: float, tick_budget: float | None = None
     ) -> None:
         """Continuous attestation for the whole fleet.
 
-        One batch tick polls every attesting node back-to-back (sharing
-        the verdict cache within the tick), instead of N independent
-        per-agent timers.  A fleet heartbeat on the same cadence keeps
-        the state roll-up (events + gauges) current.  *tick_budget*
-        overrides the saturation accountant's per-tick busy budget
-        (defaults to the interval).
+        :meth:`VerifierFleet.start_polling` ticks every shard's batch;
+        a fleet heartbeat on the same cadence keeps the state roll-up
+        (events + gauges) current.
         """
-        self.poll_scheduler.start(self.scheduler, interval, tick_budget=tick_budget)
+        self.verifiers.start_polling(interval, tick_budget=tick_budget)
         self._stop_heartbeat = self.scheduler.every(
             interval, self._heartbeat, label="fleet-heartbeat"
         )
 
     def stop_polling(self) -> None:
         """Cancel the fleet's batch polling and heartbeat.  Idempotent."""
-        self.poll_scheduler.stop()
+        self.verifiers.stop_polling()
         stop = getattr(self, "_stop_heartbeat", None)
         if callable(stop):
             self._stop_heartbeat = None
@@ -503,10 +399,7 @@ class Fleet:
 
     def _heartbeat(self) -> None:
         """Roll up fleet state into one event and the state gauges."""
-        by_state: dict[str, int] = {}
-        for state in self.status().values():
-            by_state[state] = by_state.get(state, 0) + 1
-        self._record_rollups(obs.get().registry)
+        by_state = self.verifiers._record_rollups()
         self.events.emit(
             self.scheduler.clock.now, "keylime.fleet", "fleet.heartbeat",
             healthy=self.healthy_count(),
@@ -559,17 +452,16 @@ class Fleet:
         return observatory.schedule(self.scheduler)
 
     def status(self) -> dict[str, str]:
-        """node name -> verifier state value."""
-        return {
-            node.name: self.verifier.state_of(node.agent.agent_id).value
-            for node in self.nodes
-        }
+        """node name -> state value on the verifier answering for it."""
+        return self.verifiers.status()
 
     def healthy_count(self) -> int:
         """Nodes still attesting and not quarantined."""
+        verifier_for = self.verifiers.verifier_for
         return sum(
             1 for node in self.nodes
-            if self.verifier.state_of(node.agent.agent_id) is AgentState.ATTESTING
+            if verifier_for(node.agent.agent_id).state_of(node.agent.agent_id)
+            is AgentState.ATTESTING
             and not self.quarantine.is_quarantined(node.agent.agent_id)
         )
 
@@ -593,7 +485,9 @@ class Fleet:
             policy_report = self.generator.generate_update(self.policy, changed, allowed)
             with telemetry.tracer.span("fleet.policy_push", nodes=len(self.nodes)):
                 for node in self.nodes:
-                    self.verifier.update_policy(node.agent.agent_id, self.policy)
+                    self.verifiers.verifier_for(node.agent.agent_id).update_policy(
+                        node.agent.agent_id, self.policy
+                    )
 
             files_total = 0
             updated = 0
@@ -616,7 +510,9 @@ class Fleet:
                         self.generator.prepare_for_reboot(
                             self.policy, node.machine.pending_kernel
                         )
-                        self.verifier.update_policy(node.agent.agent_id, self.policy)
+                        self.verifiers.verifier_for(
+                            node.agent.agent_id
+                        ).update_policy(node.agent.agent_id, self.policy)
                         if reboot_on_new_kernel:
                             node.machine.reboot()
                             rebooted.append(node.name)
@@ -635,7 +531,7 @@ class Fleet:
             registry.counter(
                 "fleet_nodes_rebooted_total", "Node reboots during update cycles",
             ).inc(len(rebooted))
-        self._record_rollups(registry)
+        self.verifiers._record_rollups()
 
         self.events.emit(
             now, "keylime.fleet", "fleet.updated",
@@ -650,8 +546,11 @@ class Fleet:
 
 
 # ---------------------------------------------------------------------------
-# Multi-verifier sharding
+# The verifier coordinator
 # ---------------------------------------------------------------------------
+
+#: Shard id (and RNG fork name) of an unsharded fleet's only verifier.
+SOLE_SHARD = "verifier"
 
 
 @dataclass
@@ -666,6 +565,8 @@ class ShardHost:
     nonce sequence, verdict history and audit chain continue
     bit-identically.  ``host`` names the member currently running the
     shard; it starts equal to ``shard_id`` and diverges on adoption.
+    The shard's agents are its batch's registrations, in poll order;
+    their slots live on the verifier.
     """
 
     shard_id: str
@@ -673,28 +574,32 @@ class ShardHost:
     verifier: KeylimeVerifier
     batch: VerificationScheduler
     audit: AuditLog
-    agents: dict[str, KeylimeAgent] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)
     checkpoint: dict | None = None
     adoptions: int = 0
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.batch.agents)
 
 
 class VerifierFleet:
-    """N verifiers over one provisioned fleet, ring-assigned.
+    """Every verifier of one provisioned fleet, ring-assigned.
 
-    Wraps an already-provisioned :class:`Fleet` (machines, registrar,
-    policy, wire/fault proxies) and splits its agents across
-    ``n_verifiers`` shards via a seeded
-    :class:`~repro.keylime.sharding.ConsistentHashRing` attached to the
-    registrar.  Each shard runs the existing
-    :class:`VerificationScheduler` over its key range against a private
-    :class:`KeylimeVerifier`; the :class:`~repro.keylime.policy
+    A :class:`Fleet` always holds exactly one, as ``fleet.verifiers``;
+    the fleet owns the machines, registrar, policy and wire/fault
+    proxies, and this object everything that verifies them.  Each shard
+    runs a :class:`VerificationScheduler` over its key range against a
+    private :class:`KeylimeVerifier`; the :class:`~repro.keylime.policy
     .VerdictCache` is the *fleet's* single instance shared by every
     shard, so identical files evaluated on any shard answer all of
     them -- a migrated agent never cold-starts policy evaluation.
+
+    An unsharded fleet's coordinator has one member, :data:`SOLE_SHARD`,
+    with no ring and no checkpoints (no member could adopt it).
+    ``VerifierFleet(fleet, n_verifiers, rng)`` replaces it: the agents
+    are split across ``n_verifiers`` shards via a seeded
+    :class:`~repro.keylime.sharding.ConsistentHashRing` attached to the
+    registrar, and the enrolment verifier is discarded rather than left
+    idle -- every fleet entry point now reaches the shards.
 
     Three membership operations:
 
@@ -706,16 +611,12 @@ class VerifierFleet:
       evidence replays to *neither* shard.
     * :meth:`kill` (and scheduled :class:`~repro.keylime.faults
       .VerifierOutage` windows) -- failure.  The heartbeat probe at the
-      top of every :meth:`poll_all` tick detects the unreachable host
-      *before* any round runs, and the shard fails over whole: a fresh
-      verifier on the ring-chosen adopter restores the shard's last
-      round-boundary checkpoint, so the tick's round runs on the
-      adopter and no agent misses a single poll -- the anti-P2
-      guarantee extended to verifier churn.
-
-    After wrapping, drive attestation through ``VerifierFleet.poll_all``
-    (the inner fleet's single-verifier batch is idle; its verifier keeps
-    enrollment-time slots only).
+      top of every tick detects the unreachable host *before* any round
+      runs, and the shard fails over whole: a fresh verifier on the
+      ring-chosen adopter restores the shard's last round-boundary
+      checkpoint, so the tick's round runs on the adopter and no agent
+      misses a single poll -- the anti-P2 guarantee extended to
+      verifier churn.
     """
 
     def __init__(
@@ -738,38 +639,39 @@ class VerifierFleet:
         heartbeat probe.  ``checkpoint_every`` controls the failover
         checkpoint cadence in rounds (1 = every round boundary; 0
         disables automatic checkpoints for pure-throughput benches).
+        Each agent is enrolled afresh from the slot the fleet's current
+        coordinator holds for it; the verifier settings carry over.
         """
         if n_verifiers < 1:
             raise ValueError("verifier fleet needs at least one member")
-        self.fleet = fleet
-        self.rng = rng
-        self.push_mode = fleet.push_mode
+        previous = fleet.verifiers
+        if previous._timers:
+            raise StateError("stop the fleet's polling before sharding it")
+        self._setup(fleet, rng, previous.settings, previous.tick_budget)
         self.checkpoint_every = checkpoint_every
         self.outages = list(outages)
         self.ring = ConsistentHashRing(
             seed if seed is not None else rng.seed_repr,
             **({"vnodes": vnodes} if vnodes is not None else {}),
         )
-        self.members: dict[str, bool] = {}
-        self.shards: dict[str, ShardHost] = {}
-        self._round = 0
         # Fleet-wide agent order (provisioning order): the canonical
         # key sequence for every ring computation, so plans are
         # deterministic and migrated batches keep a stable order.
-        self.agent_ids: list[str] = list(fleet.poll_scheduler.agents)
+        self.agent_ids = list(previous.agent_ids)
 
         for index in range(n_verifiers):
             member = f"verifier-{index}"
             self.ring.add(member)
             self.members[member] = True
             self.shards[member] = self._new_host(member)
-        fleet.registrar.attach_shard_ring(self.ring)
-
+        # Enrol before attaching the ring: the previous coordinator may
+        # itself be sharded, and finds its slots through the old ring.
         for agent_id in self.agent_ids:
-            shard = self.ring.owner(agent_id)
-            slot = fleet.verifier._slots[agent_id]
-            self._enroll(self.shards[shard], agent_id, slot.agent, slot.policy,
-                         slot.measured_boot)
+            slot = previous.verifier_for(agent_id)._slots[agent_id]
+            self._enroll(self.shards[self.ring.owner(agent_id)], slot.agent,
+                         slot.policy, slot.measured_boot)
+        fleet.registrar.attach_shard_ring(self.ring)
+        fleet.verifiers = self
         # An initial checkpoint per shard: a member may die before the
         # first round, and failover must still have a state to restore.
         self.checkpoint()
@@ -780,7 +682,40 @@ class VerifierFleet:
             balance=round(self.balance(), 4),
         )
 
+    @classmethod
+    def _single(
+        cls, fleet: Fleet, rng: SeededRng, tick_budget: float | None,
+        **settings,
+    ) -> VerifierFleet:
+        """An unsharded *fleet*'s coordinator.  *settings* are the
+        :class:`KeylimeVerifier` keyword arguments every shard reuses;
+        a ``None`` keeps the verifier's default."""
+        self = cls.__new__(cls)
+        settings = {key: value for key, value in settings.items() if value is not None}
+        self._setup(fleet, rng, settings, tick_budget)
+        self.members[SOLE_SHARD] = True
+        self.shards[SOLE_SHARD] = self._new_host(SOLE_SHARD, fork_name=SOLE_SHARD)
+        return self
+
     # -- construction helpers ----------------------------------------------
+
+    def _setup(self, fleet, rng, settings, tick_budget) -> None:
+        self.fleet = fleet
+        self.rng = rng
+        self.settings = settings
+        self.tick_budget = tick_budget
+        self.push_mode = fleet.push_mode
+        self.ring: ConsistentHashRing | None = None
+        self.agent_ids: list[str] = []
+        self.checkpoint_every = 0
+        self.outages: list[VerifierOutage] = []
+        self.members: dict[str, bool] = {}
+        self.shards: dict[str, ShardHost] = {}
+        self._round = 0
+        self._timers: list = []
+        # The running timers' cadence, applied to every shard batch's
+        # accountant (shards built by failover or a join included).
+        self._cadence: dict | None = None
 
     def _new_host(self, shard_id: str, fork_name: str | None = None) -> ShardHost:
         audit = AuditLog()
@@ -789,27 +724,31 @@ class VerifierFleet:
             self.fleet.scheduler,
             self.rng.fork(fork_name if fork_name is not None else f"shard-{shard_id}"),
             events=self.fleet.events,
-            continue_on_failure=self.fleet.verifier.continue_on_failure,
             notifier=self.fleet.notifier,
             audit=audit,
             verdict_cache=self.fleet.verdict_cache,
-            retry_policy=self.fleet.verifier.retry_policy,
-            quarantine_after=self.fleet.verifier.quarantine_after,
-            push_session_ttl=self.fleet.verifier.push_session_ttl,
+            **self.settings,
         )
         batch = VerificationScheduler(
-            verifier, events=self.fleet.events, push_mode=self.push_mode,
+            verifier, events=self.fleet.events, tick_budget=self.tick_budget,
+            push_mode=self.push_mode,
         )
+        if self._cadence is not None:
+            batch.accounting.configure(**self._cadence)
         return ShardHost(
             shard_id=shard_id, host=shard_id, verifier=verifier,
             batch=batch, audit=audit,
         )
 
-    def _enroll(self, host, agent_id, agent, policy, measured_boot) -> None:
+    @staticmethod
+    def _enroll(host, agent, policy, measured_boot=None) -> None:
         host.verifier.add_agent(agent, policy, measured_boot=measured_boot)
-        host.batch.register(agent_id)
-        host.agents[agent_id] = agent
-        host.order.append(agent_id)
+        host.batch.register(agent.agent_id)
+
+    def enroll(self, agent, policy: RuntimePolicy) -> None:
+        """Start attesting a newly provisioned *agent* on its shard."""
+        self.agent_ids.append(agent.agent_id)
+        self._enroll(self.shards[self.shard_of(agent.agent_id)], agent, policy)
 
     # -- introspection -----------------------------------------------------
 
@@ -832,7 +771,9 @@ class VerifierFleet:
         )
 
     def shard_of(self, agent_id: str) -> str:
-        """The shard attesting *agent_id* (ring authority)."""
+        """The shard attesting *agent_id* (ring authority once sharded)."""
+        if self.ring is None:
+            return SOLE_SHARD
         return self.fleet.registrar.shard_of(agent_id)
 
     def verifier_for(self, agent_id: str) -> KeylimeVerifier:
@@ -857,7 +798,20 @@ class VerifierFleet:
     # -- attestation -------------------------------------------------------
 
     def poll_all(self) -> dict[str, AttestationResult]:
-        """One tick: heartbeat probe, failover, then every shard's batch.
+        """One tick, the roll-up and a ``fleet.polled`` event whose
+        ``healthy`` is :meth:`Fleet.healthy_count`, sharded or not."""
+        results = self._tick()
+        self._record_rollups()
+        self.fleet.events.emit(
+            self.fleet.scheduler.clock.now, "keylime.fleet", "fleet.polled",
+            polled=len(results),
+            ok=sum(1 for result in results.values() if result.ok),
+            healthy=self.fleet.healthy_count(),
+        )
+        return results
+
+    def _tick(self) -> dict[str, AttestationResult]:
+        """Heartbeat probe, failover, every shard's batch, checkpoint.
 
         The probe runs *first*, so a shard whose host died since the
         last tick is adopted and polled in this same tick -- the fleet
@@ -870,19 +824,58 @@ class VerifierFleet:
         results: dict[str, AttestationResult] = {}
         for shard_id in self.shard_ids:
             results.update(self.shards[shard_id].batch.poll_batch())
+        self._end_round()
+        return results
+
+    def _end_round(self) -> None:
         self._round += 1
         if self.checkpoint_every and self._round % self.checkpoint_every == 0:
             self.checkpoint()
-        self._record_rollups()
-        self.fleet.events.emit(
-            self.fleet.scheduler.clock.now, "keylime.fleet", "fleet.polled",
-            polled=len(results),
-            ok=sum(1 for result in results.values() if result.ok),
-            healthy=sum(
-                1 for result in results.values() if result.ok
-            ),
-        )
-        return results
+
+    def _push_tick(self, agent_id: str) -> None:
+        # Resolved at fire time: failover replaces the verifier object.
+        self.shards[self.shard_of(agent_id)].batch.push_tick(agent_id)
+
+    def _reap_tick(self) -> None:
+        for shard_id in self.shard_ids:
+            self.shards[shard_id].batch.reap_tick()
+        self._end_round()
+
+    def start_polling(
+        self, interval: float, tick_budget: float | None = None
+    ) -> None:
+        """Tick every shard every *interval* simulated seconds.
+
+        Pull mode runs :meth:`_tick` on one ``fleet-poll-batch`` timer.
+        Push mode inverts the cadence: ``fleet-probe`` adopts dead hosts
+        first, each agent's ``push:<agent>`` timer runs one exchange on
+        the shard answering for it when it fires, and ``fleet-push-reap``
+        (registered last, so last within a tick) reaps every shard and
+        takes the checkpoint.  *tick_budget* is each shard accountant's
+        per-tick busy budget (default: the interval).
+        """
+        self.stop_polling()
+        every = self.fleet.scheduler.every
+        if self.push_mode:
+            self._timers.append(every(interval, self.probe, label="fleet-probe"))
+            for agent_id in self.agent_ids:
+                self._timers.append(every(
+                    interval, (lambda aid=agent_id: self._push_tick(aid)),
+                    label=f"push:{agent_id}",
+                ))
+            label, tick = "fleet-push-reap", self._reap_tick
+        else:
+            label, tick = "fleet-poll-batch", self._tick
+        self._timers.append(every(interval, tick, label=label))
+        self._cadence = {"interval": interval, "budget": tick_budget, "timer": label}
+        for host in self.shards.values():
+            host.batch.accounting.configure(**self._cadence)
+
+    def stop_polling(self) -> None:
+        """Cancel the periodic tick timers.  Idempotent."""
+        timers, self._timers = self._timers, []
+        for cancel in timers:
+            cancel()
 
     def probe(self) -> list[str]:
         """Heartbeat pass: adopt every shard whose host is unreachable.
@@ -943,10 +936,9 @@ class VerifierFleet:
         fresh = self._new_host(
             shard_id, fork_name=f"shard-{shard_id}/adoption-{host.adoptions}",
         )
-        for agent_id in host.order:
+        for agent_id in host.batch.agents:
             slot = host.verifier._slots[agent_id]
-            self._enroll(fresh, agent_id, slot.agent, slot.policy,
-                         slot.measured_boot)
+            self._enroll(fresh, slot.agent, slot.policy, slot.measured_boot)
         restore_verifier(fresh.verifier, host.checkpoint)
         fresh.host = adopter
         fresh.checkpoint = host.checkpoint
@@ -960,7 +952,7 @@ class VerifierFleet:
             self.fleet.scheduler.clock.now, "keylime.fleet",
             "fleet.shard.failover",
             shard=shard_id, previous_host=host.host, adopter=adopter,
-            agents=len(fresh.order), reason=reason,
+            agents=len(fresh), reason=reason,
         )
         return adopter
 
@@ -977,6 +969,9 @@ class VerifierFleet:
         :meth:`poll_all` between any two statements of this method
         would still poll each agent exactly once.
         """
+        if self.ring is None:
+            raise StateError("an unsharded fleet has no ring to join; "
+                             "shard it with VerifierFleet(fleet, n, rng)")
         if member in self.members:
             raise StateError(f"verifier member {member!r} already exists")
         self.members[member] = True
@@ -1035,12 +1030,9 @@ class VerifierFleet:
         target = self.shards[target_id]
         slot = source.verifier._slots[agent_id]
         record = export_agent_state(source.verifier, agent_id)
-        agent, policy, measured_boot = slot.agent, slot.policy, slot.measured_boot
         source.batch.unregister(agent_id)
         source.verifier.remove_agent(agent_id)
-        source.agents.pop(agent_id, None)
-        source.order.remove(agent_id)
-        self._enroll(target, agent_id, agent, policy, measured_boot)
+        self._enroll(target, slot.agent, slot.policy, slot.measured_boot)
         import_agent_state(target.verifier, record, include_sessions=False)
         obs.get().registry.counter(
             "fleet_shard_migrations_total",
@@ -1054,27 +1046,28 @@ class VerifierFleet:
 
     # -- observability -----------------------------------------------------
 
-    def _record_rollups(self) -> None:
-        """Refresh the per-shard gauges the shard panel and the
-        ``fleet:shard_balance`` recording rule read."""
+    def _record_rollups(self) -> dict[str, int]:
+        """Refresh the node-state gauges (and, once sharded, the per-shard
+        ones the shard panel reads); returns the node count per state."""
         registry = obs.get().registry
-        agents_gauge = registry.gauge(
-            "fleet_shard_agents", "Agents assigned per shard", ("shard",),
-        )
-        hosted_gauge = registry.gauge(
-            "fleet_shard_hosted",
-            "Which member hosts each shard (1 = hosting)",
-            ("shard", "host"),
-        )
-        for shard_id, host in self.shards.items():
-            agents_gauge.labels(shard=shard_id).set(len(host))
-            for member in self.members:
-                hosted_gauge.labels(shard=shard_id, host=member).set(
-                    1.0 if host.host == member else 0.0
-                )
-        registry.gauge(
-            "fleet_shard_members", "Live verifier members",
-        ).set(len(self.live_members()))
+        if self.ring is not None:
+            agents_gauge = registry.gauge(
+                "fleet_shard_agents", "Agents assigned per shard", ("shard",),
+            )
+            hosted_gauge = registry.gauge(
+                "fleet_shard_hosted",
+                "Which member hosts each shard (1 = hosting)",
+                ("shard", "host"),
+            )
+            for shard_id, host in self.shards.items():
+                agents_gauge.labels(shard=shard_id).set(len(host))
+                for member in self.members:
+                    hosted_gauge.labels(shard=shard_id, host=member).set(
+                        1.0 if host.host == member else 0.0
+                    )
+            registry.gauge(
+                "fleet_shard_members", "Live verifier members",
+            ).set(len(self.live_members()))
         by_state: dict[str, int] = {}
         for state in self.status().values():
             by_state[state] = by_state.get(state, 0) + 1
@@ -1082,6 +1075,8 @@ class VerifierFleet:
             "fleet_nodes", "Fleet nodes by verifier state", ("state",),
         )
         for state in AgentState:
-            nodes_gauge.labels(state=state.value).set(
-                by_state.get(state.value, 0)
-            )
+            nodes_gauge.labels(state=state.value).set(by_state.get(state.value, 0))
+        registry.gauge(
+            "fleet_quarantined_nodes", "Nodes currently quarantined",
+        ).set(len(self.fleet.quarantine.quarantined))
+        return by_state

@@ -207,7 +207,7 @@ class TestMultiVerifierHandoff:
         agent_id = "agent-node-000"
         victim = vfleet.shard_of(agent_id)
         host = vfleet.shards[victim]
-        agent = host.agents[agent_id]
+        agent = host.verifier._slots[agent_id].agent
         reply = negotiation_reply_from_json(
             host.verifier.negotiate_push(
                 negotiation_to_json(agent_id, agent.capabilities())
@@ -264,7 +264,7 @@ class TestMultiVerifierHandoff:
         agent_id = moving[0]
 
         source = vfleet.shards[vfleet.shard_of(agent_id)]
-        agent = source.agents[agent_id]
+        agent = source.verifier._slots[agent_id].agent
         reply = negotiation_reply_from_json(
             source.verifier.negotiate_push(
                 negotiation_to_json(agent_id, agent.capabilities())

@@ -241,7 +241,7 @@ class TestFleetNeverUnassigned:
         # The ring's authority and the shards' bookkeeping agree.
         for agent_id in vfleet.agent_ids:
             shard = vfleet.shard_of(agent_id)
-            assert agent_id in vfleet.shards[shard].agents
+            assert agent_id in vfleet.shards[shard].batch.agents
         assert all(move.target == "verifier-3" for move in plan.moves)
         results = _tick(fleet, vfleet)
         assert sorted(results) == sorted(vfleet.agent_ids)
