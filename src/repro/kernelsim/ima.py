@@ -167,28 +167,39 @@ class ImaEngine:
     One instance exists per booted kernel; a reboot builds a fresh
     engine (empty list, empty cache) and the machine re-extends the
     boot aggregate.
+
+    The measurement list is stored once, as the ascii lines the kernel
+    exposes: each entry is rendered when it is measured and appended.
+    Reading a suffix (:meth:`log_lines`) or the length
+    (:attr:`entry_count`) therefore never re-renders earlier entries,
+    so an agent round costs O(new entries), not O(log).
     """
 
     def __init__(self, policy: ImaPolicy, tpm: Tpm) -> None:
         self.policy = policy
         self._tpm = tpm
-        self._log: list[ImaLogEntry] = []
+        self._lines: list[str] = []
         self._cache: dict[tuple[str, int], _CacheRecord] = {}
 
     # -- introspection ---------------------------------------------------
 
     @property
-    def log(self) -> list[ImaLogEntry]:
-        """The measurement list (a copy; the engine's list is append-only)."""
-        return list(self._log)
+    def entry_count(self) -> int:
+        """Number of entries in the measurement list."""
+        return len(self._lines)
 
-    def log_lines(self) -> list[str]:
-        """Serialised measurement list, as the agent ships it."""
-        return [entry.to_line() for entry in self._log]
+    @property
+    def log(self) -> list[ImaLogEntry]:
+        """The measurement list, parsed from its lines (a fresh copy)."""
+        return [ImaLogEntry.from_line(line) for line in self._lines]
+
+    def log_lines(self, offset: int = 0) -> list[str]:
+        """Serialised measurement list from entry *offset* on, as shipped."""
+        return self._lines[offset:]
 
     def measured_paths(self) -> set[str]:
         """All recorded paths (test helper)."""
-        return {entry.path for entry in self._log}
+        return {entry.path for entry in self.log}
 
     # -- measurement -----------------------------------------------------
 
@@ -273,7 +284,7 @@ class ImaEngine:
             filedata_hash=VIOLATION_FILEDATA_HASH,
             path=f"{recorded_path} ({kind})" if kind else recorded_path,
         )
-        self._log.append(entry)
+        self._lines.append(entry.to_line())
         self._tpm.extend(IMA_PCR_INDEX, VIOLATION_EXTEND_VALUE, algorithm="sha256")
         obs.get().registry.counter(
             "ima_violations_total", "IMA measurement violations recorded", ("kind",),
@@ -288,7 +299,7 @@ class ImaEngine:
             filedata_hash=filedata_hash,
             path=path,
         )
-        self._log.append(entry)
+        self._lines.append(entry.to_line())
         self._tpm.extend(IMA_PCR_INDEX, entry.template_hash, algorithm="sha256")
         obs.get().registry.counter(
             "ima_measurements_total", "Entries appended to the measurement list",

@@ -32,9 +32,11 @@ class PushCapabilities:
     The negotiation step of the push protocol starts with the agent
     describing itself: which hash algorithms its TPM banks support,
     how long its IMA measurement list currently is, and its TPM reset
-    (boot) counter.  The verifier uses the log length and boot count to
-    choose the delta offset for the submission -- a changed boot count
-    means the log restarted and the whole list must be re-shipped.
+    (boot) counter.  The verifier picks the delta offset from its own
+    record (entries already verified, and the boot count it last saw)
+    -- a changed boot count means the log restarted and the whole list
+    must be re-shipped.  ``log_length`` is reported but not used to
+    pick the offset.
 
     The capabilities are *hints*, not security inputs: the quote's own
     reset counter is what actually resets the verifier's replay state,
@@ -65,7 +67,12 @@ class AttestationEvidence:
 
 
 class KeylimeAgent:
-    """Agent daemon bound to one machine and its TPM."""
+    """Agent daemon bound to one machine and its TPM.
+
+    Neither :meth:`capabilities` nor :meth:`attest` renders the
+    measurement list: they read the engine's entry count and the
+    already-rendered suffix, so their cost does not grow with the log.
+    """
 
     def __init__(self, agent_id: str, machine: Machine) -> None:
         self.agent_id = agent_id
@@ -100,7 +107,7 @@ class KeylimeAgent:
         ima = self.machine.require_booted()
         return PushCapabilities(
             hash_algorithms=tuple(sorted(self.machine.tpm.banks)),
-            log_length=len(ima.log_lines()),
+            log_length=ima.entry_count,
             boot_count=self.machine.tpm.reset_count,
         )
 
@@ -111,8 +118,12 @@ class KeylimeAgent:
 
         The selection defaults to PCR 10 (the IMA aggregate); a verifier
         enforcing measured-boot golden values widens it to the boot
-        PCRs.  The quote is taken *after* the log snapshot; taking them
-        the other way round would let a measurement land between the two
+        PCRs.  Only the entries from *offset* on are shipped; an offset
+        outside the list (a rebooted machine has a shorter log than the
+        verifier's offset, or a negative one) ships the whole list.
+
+        The quote is taken *after* the log snapshot; taking them the
+        other way round would let a measurement land between the two
         and spuriously fail the replay check.  (Entries appended after
         the quote are shipped on the next poll.)
         """
@@ -124,7 +135,13 @@ class KeylimeAgent:
             "agent.attest", agent=self.agent_id, offset=offset
         ) as span:
             ima = self.machine.require_booted()
-            lines = ima.log_lines()
+            total = ima.entry_count
+            if offset < 0 or offset > total:
+                # A rebooted machine has a shorter log than the verifier's
+                # offset; ship everything and let the verifier notice the
+                # reset counter change.
+                offset = 0
+            suffix = ima.log_lines(offset)
 
             # Advance the TPM's internal clock to the machine's present.
             now = self.machine.clock.now
@@ -143,12 +160,7 @@ class KeylimeAgent:
                 telemetry.registry.histogram(
                     "tpm_quote_wall_seconds", "Wall-clock time to produce a TPM quote",
                 ).observe(perf_counter() - quote_wall_start)
-            if offset < 0 or offset > len(lines):
-                # A rebooted machine has a shorter log than the verifier's
-                # offset; ship everything and let the verifier notice the
-                # reset counter change.
-                offset = 0
-            span.set_attribute("shipped", len(lines) - offset)
+            span.set_attribute("shipped", len(suffix))
 
         registry = telemetry.registry
         registry.histogram(
@@ -160,10 +172,10 @@ class KeylimeAgent:
         ).labels(agent=self.agent_id).inc()
         registry.counter(
             "agent_log_lines_shipped_total", "IMA log lines shipped to the verifier",
-        ).inc(len(lines) - offset)
+        ).inc(len(suffix))
         return AttestationEvidence(
             quote=quote,
-            ima_log_lines=tuple(lines[offset:]),
+            ima_log_lines=tuple(suffix),
             offset=offset,
-            total_entries=len(lines),
+            total_entries=total,
         )
