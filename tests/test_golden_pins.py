@@ -13,6 +13,12 @@ event of these runs fails here, whichever layer caused it.
 * **Sharded**: a 6-node, 3-verifier ``build_shard_fleet`` whose
   ``verifier-1`` is killed at round 2; pinned are every shard's audit
   head, the verdict streams and each shard's canonical checkpoint.
+* **Health watch**: a 3-node, 2-day fleet with node 0 under the
+  ``partition`` chaos profile, observed by one ``HealthWatch``; pinned
+  are the alert history, every SLO's window counts at the end of the
+  run and the number of incidents.  ``health.poll_latency_anomaly`` is
+  left out: it is driven by wall-clock poll latency, so it differs
+  between runs of the same seed.
 
 If a change is *meant* to move these bytes, re-record the values and
 say why in the change description.
@@ -26,7 +32,24 @@ import json
 
 import pytest
 
+from repro.common.clock import Scheduler, days, hours
+from repro.common.events import EventLog
+from repro.common.rng import SeededRng
+from repro.distro.archive import UbuntuArchive
+from repro.distro.mirror import LocalMirror
+from repro.distro.workload import (
+    ReleaseStreamConfig,
+    SyntheticReleaseStream,
+    build_base_system,
+)
+from repro.dynpolicy.generator import DynamicPolicyGenerator
+from repro.experiments.fleet_run import DEFAULT_KERNEL, ChaosInjection
 from repro.experiments.shardfleet import build_shard_fleet, build_shard_rig
+from repro.keylime.fleet import Fleet
+from repro.keylime.policy import IBM_STYLE_EXCLUDES
+from repro.obs import runtime as obs_runtime
+from repro.obs.health import HealthWatch
+from repro.tpm.device import TpmManufacturer
 
 INTERVAL = 1800.0
 
@@ -163,3 +186,118 @@ def test_unsharded_fleet_matches_pins(push_mode):
 
 def test_sharded_failover_matches_pins():
     assert _sharded_run() == SHARDED_PINS
+
+
+#: Wall-clock driven, so not reproducible from the seed alone.
+LATENCY_RULE = "health.poll_latency_anomaly"
+
+
+def _health_watch_run(n_nodes: int = 3, n_days: int = 2) -> dict:
+    """A partition-chaos fleet run observed by one ``HealthWatch``."""
+    previous = obs_runtime.get()
+    try:
+        rng = SeededRng("equivalence")
+        scheduler = Scheduler()
+        events = EventLog()
+        telemetry = obs_runtime.activate(clock=None)
+        telemetry.bind_clock(scheduler.clock)
+
+        archive = UbuntuArchive()
+        base = build_base_system(
+            rng.fork("base"), n_filler_packages=8, mean_exec_files=4.0,
+            kernel_version=DEFAULT_KERNEL,
+        )
+        archive.seed(base)
+        stream = SyntheticReleaseStream(
+            archive, base, rng.fork("stream"),
+            ReleaseStreamConfig(
+                mean_packages_per_day=2.0, sd_packages_per_day=1.0,
+                mean_exec_files_per_package=4.0, kernel_release_every_days=0,
+            ),
+        )
+        mirror = LocalMirror(archive, events=events)
+        mirror.sync(0.0)
+        generator = DynamicPolicyGenerator(
+            mirror, events=events, rng=rng.fork("gen")
+        )
+        policy, _ = generator.generate_full(
+            list(IBM_STYLE_EXCLUDES), {DEFAULT_KERNEL}
+        )
+
+        chaos = ChaosInjection(
+            profile="partition", chaos_seed="eq-chaos", node_indices=(0,),
+        )
+        fleet = Fleet(
+            n_nodes, mirror, TpmManufacturer("Infineon", rng.fork("tpm")),
+            scheduler, rng.fork("fleet"), policy,
+            events=events, kernel_version=DEFAULT_KERNEL,
+            fault_plan=chaos.build_plan(
+                [f"agent-node-{i:03d}" for i in range(n_nodes)]
+            ),
+            retry_policy=chaos.build_retry_policy(),
+            quarantine_after=chaos.quarantine_after,
+        )
+        watch = HealthWatch(tick_interval=INTERVAL)
+        fleet.start_polling(INTERVAL)
+        fleet.watch_health(watch, INTERVAL)
+        for day in range(1, n_days + 1):
+            stream.generate_day(day - 1)
+            scheduler.call_at(
+                days(day) + hours(5.0),
+                lambda: fleet.run_update_cycle(),
+                label=f"update-day{day}",
+            )
+        scheduler.run_until(days(n_days + 1))
+        end = scheduler.clock.now
+        watch.finalize(end)
+    finally:
+        if previous.enabled:
+            obs_runtime.activate(previous)
+        else:
+            obs_runtime.deactivate()
+
+    alerts = [
+        alert.to_record() for alert in watch.engine.history
+        if alert.rule != LATENCY_RULE
+    ]
+    return {
+        "alerts": _sha256(alerts),
+        "alert_rules": sorted({record["rule"] for record in alerts}),
+        "window_counts": {
+            tracker.name: [
+                list(tracker.window_counts(window, end))
+                for window in (INTERVAL, 6 * INTERVAL, 86400.0, 7 * 86400.0)
+            ]
+            for tracker in watch.monitor.slos.all()
+        },
+        "incidents": sum(
+            1 for incident in watch.incidents
+            if incident.alert["rule"] != LATENCY_RULE
+        ),
+    }
+
+
+HEALTH_WATCH_PINS = {
+    "alerts": (
+        "0747e7b5c72704be19fddd1a64e80d31ae64eed188a5708660cab9dcf3364139"
+    ),
+    "alert_rules": [
+        "health.coverage_gap",
+        "slo.freshness.fast_burn",
+        "slo.freshness.slow_burn",
+        "slo.poll_success.fast_burn",
+        "slo.poll_success.slow_burn",
+    ],
+    # [total, bad] at POLL, 6 POLL, 1 day and 7 days before the end.
+    "window_counts": {
+        "attestation_freshness": [[6, 2], [21, 7], [147, 49], [432, 142]],
+        "poll_success": [[6, 2], [21, 7], [147, 49], [432, 144]],
+        "detection_latency": [[0, 0], [0, 0], [0, 0], [1, 0]],
+        "freshness_headroom": [[2, 0], [7, 0], [49, 0], [144, 0]],
+    },
+    "incidents": 5,
+}
+
+
+def test_health_watch_matches_pins():
+    assert _health_watch_run() == HEALTH_WATCH_PINS
