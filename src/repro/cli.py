@@ -195,20 +195,13 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
         print(render_dashboard(live_watch, now))
         print()
 
-    observatory = None
-    if args.tsdb:
-        from repro.obs.rules import Observatory
-
-        observatory = Observatory(poll_interval=args.tick_minutes * 60.0)
     watch = HealthWatch(
         gap_polls=args.gap_polls,
         tick_interval=args.tick_minutes * 60.0,
         on_frame=None if args.once else frame,
         frame_every=0 if args.once else args.frame_every,
-        observatory=observatory,
     )
     with obs_runtime.session() as telemetry:
-        telemetry.observatory = observatory
         chaos = None
         if args.scenario == "fleet":
             from repro.experiments.fleet_run import (
@@ -283,10 +276,8 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
             extra = [run_meta]
             extra += [alert.to_record() for alert in watch.engine.history]
             extra += [incident.to_record() for incident in watch.incidents]
-            if watch.observatory is not None:
-                extra += list(watch.observatory.store.export_records())
-            # Stream record-by-record: a long TSDB-backed run exports in
-            # O(1) memory while keeping the atomic-replace guarantee.
+            # Stream record-by-record: a long run exports in O(1) memory
+            # while keeping the atomic-replace guarantee.
             lines = write_jsonl_atomic(
                 args.jsonl,
                 jsonl_records(
@@ -953,11 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a live dashboard frame every N ticks",
     )
     watch.add_argument("--jsonl", default=None, help="write the full run export here")
-    watch.add_argument(
-        "--tsdb", action="store_true",
-        help="drive detectors and SLO burn from the embedded TSDB "
-             "(recording rules) instead of private ad-hoc windows",
-    )
     watch.set_defaults(func=_cmd_obs_watch)
 
     top = obs_commands.add_parser(

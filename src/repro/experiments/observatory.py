@@ -4,8 +4,9 @@ The ROADMAP's sharded multi-verifier fleet does not exist yet, but its
 *observability contract* can be proven today: this scenario provisions
 N completely independent verifier shards -- each with its own
 :class:`~repro.obs.runtime.Telemetry` bundle, scheduler, event log,
-mirror, fleet and TSDB-backed :class:`~repro.obs.health.HealthWatch` --
-and advances them in lockstep slices of simulated time.  On its own
+mirror, fleet, :class:`~repro.obs.rules.Observatory` and
+:class:`~repro.obs.health.HealthWatch` -- and advances them in
+lockstep slices of simulated time.  On its own
 cadence, each shard serialises a metrics snapshot through the JSON wire
 pair (:func:`repro.obs.federation.snapshot_to_json` /
 ``snapshot_from_json`` -- a real encode/decode round-trip, exactly what
@@ -146,10 +147,7 @@ def _build_shard(
     observatory = Observatory(
         registry=telemetry.registry, poll_interval=poll_interval
     )
-    telemetry.observatory = observatory
-    watch = HealthWatch(
-        tick_interval=poll_interval, observatory=observatory
-    )
+    watch = HealthWatch(tick_interval=poll_interval)
     fleet.start_polling(poll_interval)
     fleet.watch_health(watch, poll_interval)
     fleet.observe(observatory)

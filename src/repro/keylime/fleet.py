@@ -438,11 +438,10 @@ class Fleet:
         Binds the :class:`repro.obs.rules.Observatory` to the active
         telemetry registry (when enabled and not already bound) and
         schedules ``observatory.collect`` on the fleet scheduler every
-        *interval* (the observatory's own cadence by default).  Safe to
-        combine with a TSDB-backed :class:`~repro.obs.health
-        .HealthWatch` -- collection is idempotent per timestamp, so
-        whichever runs first at a tick does the scrape.  Returns the
-        stop callable.
+        *interval* (the observatory's own cadence by default).
+        Collection is idempotent per timestamp, so a second collector
+        landing on the same tick scrapes nothing.  Returns the stop
+        callable.
         """
         telemetry = obs.get()
         if telemetry.enabled and not observatory.bound:

@@ -204,20 +204,19 @@ class SloSet:
     freshness: SloTracker
     poll_success: SloTracker
     detection_latency: SloTracker
-    # Saturation headroom (PR 7): one sample per fleet batch tick, bad
-    # when the tick overran its budget.  Optional so SloSets built
-    # before the capacity layer keep their shape.
-    freshness_headroom: SloTracker | None = None
+    # Saturation headroom: one sample per fleet batch tick, bad when the
+    # tick overran its budget.
+    freshness_headroom: SloTracker
 
     def all(self) -> tuple[SloTracker, ...]:
         """The trackers, in declaration order."""
-        trackers = (self.freshness, self.poll_success, self.detection_latency)
-        if self.freshness_headroom is not None:
-            trackers += (self.freshness_headroom,)
-        return trackers
+        return (
+            self.freshness, self.poll_success, self.detection_latency,
+            self.freshness_headroom,
+        )
 
 
-def standard_slos(max_window: float = 7 * 86400.0, make=SloTracker) -> SloSet:
+def standard_slos() -> SloSet:
     """The default SLO definitions.
 
     * **attestation freshness** (99%): at every monitor tick, every
@@ -232,31 +231,23 @@ def standard_slos(max_window: float = 7 * 86400.0, make=SloTracker) -> SloSet:
       inside their tick budget.  A burning headroom budget means the
       verifier is *about* to start missing freshness -- the capacity
       early-warning the saturation study (PR 7) adds.
-
-    *make* is the tracker factory -- :class:`SloTracker` by default;
-    :func:`repro.obs.rules.tsdb_slos` passes a TSDB-backed one so the
-    same definitions drive store-resident trackers.
     """
     return SloSet(
-        freshness=make(
+        freshness=SloTracker(
             "attestation_freshness", 0.99,
             "watched agents have a fresh successful attestation",
-            max_window=max_window,
         ),
-        poll_success=make(
+        poll_success=SloTracker(
             "poll_success", 0.995,
             "attestation rounds that verify clean (FP budget)",
-            max_window=max_window,
         ),
-        detection_latency=make(
+        detection_latency=SloTracker(
             "detection_latency", 0.95,
             "alerts raised within their detection-latency target",
-            max_window=max_window,
         ),
-        freshness_headroom=make(
+        freshness_headroom=SloTracker(
             "freshness_headroom", 0.95,
             "fleet batch ticks that finished inside their tick budget",
-            max_window=max_window,
         ),
     )
 
@@ -273,7 +264,7 @@ def standard_burn_rules(
     """
     fast_long = max(4 * poll_interval, 3600.0)
     slow_long = max(24 * poll_interval, 6 * 3600.0)
-    rules = [
+    return [
         BurnRateRule(
             "slo.freshness.fast_burn", slos.freshness,
             long_window=fast_long, short_window=fast_long / 4.0,
@@ -299,17 +290,15 @@ def standard_burn_rules(
             long_window=slow_long, short_window=slow_long / 4.0,
             factor=4.0, severity="warning", min_samples=2,
         ),
-    ]
-    if slos.freshness_headroom is not None:
         # One sample per batch tick, so the fast window holds only ~4
         # samples -- a lower factor and min_samples keep the rule
         # responsive without firing on a single noisy tick.
-        rules.append(BurnRateRule(
+        BurnRateRule(
             "slo.freshness_headroom.burn", slos.freshness_headroom,
             long_window=fast_long, short_window=fast_long / 4.0,
             factor=4.0, severity="warning", min_samples=3,
-        ))
-    return rules
+        ),
+    ]
 
 
 class AlertEngine:

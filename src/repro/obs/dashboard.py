@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.obs.alerts import standard_slos
 from repro.obs.tsdb import TsdbStore
 
 #: Unicode block glyphs, lowest to highest.
@@ -24,14 +25,6 @@ SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 
 #: Freshness heat glyphs: index = whole missed poll intervals, capped.
 HEAT_GLYPHS = ("·", "▁", "▂", "▄", "▅", "▆", "▇", "█")
-
-#: SLO objectives used when rendering burn from scraped
-#: ``slo_events_total`` series (matches ``standard_slos``).
-STANDARD_OBJECTIVES = {
-    "attestation_freshness": 0.99,
-    "poll_success": 0.995,
-    "detection_latency": 0.95,
-}
 
 
 def sparkline(values: list[float], width: int = 32) -> str:
@@ -104,32 +97,29 @@ def slo_burn(
     store: TsdbStore,
     now: float,
     window: float = 86400.0,
-    objectives: dict[str, float] | None = None,
 ) -> list[dict[str, Any]]:
-    """Burn-rate summary per SLO from store history.
+    """Burn-rate summary per SLO of :func:`~repro.obs.alerts.standard_slos`.
 
-    Prefers the exact-time ``slo:{name}:total``/``:bad`` series a
-    :class:`~repro.obs.rules.TsdbSloTracker` writes; falls back to the
-    scrape-grid ``slo_events_total{slo,outcome}`` counters, which is
-    what a federation hub sees from remote registries.
+    Reads the scrape-grid ``slo_events_total{slo,outcome}`` counters
+    that :class:`~repro.obs.health.HealthMonitor` mirrors its SLO
+    samples into.
     """
-    objectives = objectives or STANDARD_OBJECTIVES
+    objectives = {
+        tracker.name: tracker.objective for tracker in standard_slos().all()
+    }
     start = now - window
     out = []
     for name, objective in sorted(objectives.items()):
-        total = store.increase(f"slo:{name}:total", None, start, now)
-        bad = store.increase(f"slo:{name}:bad", None, start, now)
-        if total <= 0:
-            total = sum(
-                series.increase(start, now)
-                for series in store.select("slo_events_total", slo=name)
+        total = sum(
+            series.increase(start, now)
+            for series in store.select("slo_events_total", slo=name)
+        )
+        bad = sum(
+            series.increase(start, now)
+            for series in store.select(
+                "slo_events_total", slo=name, outcome="bad"
             )
-            bad = sum(
-                series.increase(start, now)
-                for series in store.select(
-                    "slo_events_total", slo=name, outcome="bad"
-                )
-            )
+        )
         if total <= 0:
             continue
         bad_fraction = bad / total

@@ -20,8 +20,10 @@ detector families run on every monitor tick:
 
 :class:`HealthMonitor` wires the detectors to a run: it subscribes to
 the :class:`repro.common.events.EventLog` for per-agent attestation
-outcomes, samples the metrics registry for rates, records into the SLO
-trackers (:mod:`repro.obs.alerts`), and turns detector findings into
+outcomes, samples the live metrics registry for rates, records into the
+exact, bounded SLO trackers (:mod:`repro.obs.alerts`) -- mirroring every
+sample into ``slo_events_total{slo,outcome}`` so scrapes and the
+federation hub see SLO activity too -- and turns detector findings into
 :class:`~repro.obs.alerts.Alert` values on :meth:`check`.
 
 :class:`HealthWatch` is the one-stop bundle the scenarios and the
@@ -37,10 +39,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.common.errors import ConfigurationError
 from repro.obs.alerts import (
     Alert,
     AlertEngine,
-    SloSet,
+    SloTracker,
     standard_burn_rules,
     standard_slos,
 )
@@ -391,44 +394,6 @@ class CoverageGapDetector:
         return alerts
 
 
-class RegistrySampleSource:
-    """Counter/histogram instants read straight off a live registry.
-
-    This is the seed sampling path, factored behind the same API
-    :class:`repro.obs.rules.TsdbSampleSource` serves from TSDB history,
-    so :class:`HealthMonitor` is source-agnostic: ``None`` answers mean
-    "no data yet" and leave the monitor's delta bookkeeping untouched.
-    """
-
-    def __init__(self, registry) -> None:
-        self.registry = registry
-
-    def counter_value(
-        self, name: str, labels: dict[str, str], at: float
-    ) -> float | None:
-        """Current cumulative value of one counter child."""
-        family = self.registry.get(name)
-        if family is None:
-            return None
-        try:
-            return family.labels(**labels).value if labels else family.value
-        except Exception:
-            return None
-
-    def histogram_totals(
-        self, name: str, at: float
-    ) -> tuple[float, float] | None:
-        """The default child's current ``(count, sum)``."""
-        family = self.registry.get(name)
-        if family is None:
-            return None
-        try:
-            child = family._default_child()
-        except Exception:
-            return None
-        return child.count, child.sum
-
-
 class HealthMonitor:
     """Wires the detectors to one run's EventLog and metrics registry."""
 
@@ -436,18 +401,13 @@ class HealthMonitor:
         self,
         events,
         registry=None,
-        slos: SloSet | None = None,
         gap_polls: float = DEFAULT_GAP_POLLS,
         freshness_target_polls: float = 2.0,
         detection_target_polls: float = 4.0,
-        source=None,
     ) -> None:
         self.events = events
         self.registry = registry
-        if source is None and registry is not None:
-            source = RegistrySampleSource(registry)
-        self.source = source
-        self.slos = slos if slos is not None else standard_slos()
+        self.slos = standard_slos()
         self.gaps = CoverageGapDetector(gap_polls=gap_polls)
         self.latency = LatencyAnomalyDetector()
         self.failure_rate = FailureRateDetector()
@@ -456,6 +416,7 @@ class HealthMonitor:
         self.detection_target_polls = detection_target_polls
         self.last_check: float | None = None
         self._sampled: dict[str, float] = {}
+        self._slo_events = None
         self._latency_sampled_gaps: set[tuple[str | None, float]] = set()
         self._unsubscribe = events.subscribe(self._on_event)
 
@@ -473,16 +434,16 @@ class HealthMonitor:
             return
         if record.kind == "attestation.ok":
             self.gaps.record_success(agent, record.time)
-            self.slos.poll_success.record(record.time, True)
+            self._record_slo(self.slos.poll_success, record.time, True)
         elif record.kind.startswith("attestation.failed"):
             self.gaps.record_failure(agent, record.time)
-            self.slos.poll_success.record(record.time, False)
+            self._record_slo(self.slos.poll_success, record.time, False)
         elif record.kind == "attestation.degraded":
             # A degraded round burns poll-success budget (the FP study's
             # operational-noise cost) without counting as an integrity
             # failure anywhere.
             self.gaps.record_degraded(agent, record.time)
-            self.slos.poll_success.record(record.time, False)
+            self._record_slo(self.slos.poll_success, record.time, False)
         elif record.kind == "node.suspect":
             self.gaps.record_suspect(agent, record.time)
         elif record.kind == "node.recovered":
@@ -500,14 +461,23 @@ class HealthMonitor:
 
     # -- telemetry sampling ------------------------------------------------
     #
-    # The monitor owns the delta bookkeeping (previous cumulative value
-    # per sampled key); the *source* only answers "what is the value at
-    # now" -- from the live registry (seed path) or from TSDB history.
+    # Reads come straight off the live registry; the monitor keeps the
+    # previous cumulative value per sampled key and diffs against it.
+    # ``None`` answers mean "no data yet" and leave that bookkeeping
+    # untouched.
 
-    def _counter_delta(self, name: str, now: float, **labels: str) -> float:
-        if self.source is None:
-            return 0.0
-        current = self.source.counter_value(name, labels, now)
+    def _counter_value(self, name: str, **labels: str) -> float | None:
+        """Current value of one counter/gauge child."""
+        family = self.registry.get(name) if self.registry is not None else None
+        if family is None:
+            return None
+        try:
+            return family.labels(**labels).value if labels else family.value
+        except ConfigurationError:
+            return None
+
+    def _counter_delta(self, name: str, **labels: str) -> float:
+        current = self._counter_value(name, **labels)
         if current is None:
             return 0.0
         key = name + "".join(f"|{k}={v}" for k, v in sorted(labels.items()))
@@ -515,18 +485,37 @@ class HealthMonitor:
         self._sampled[key] = current
         return delta
 
-    def _histogram_delta(self, name: str, now: float) -> tuple[float, float]:
-        if self.source is None:
+    def _histogram_delta(self, name: str) -> tuple[float, float]:
+        family = self.registry.get(name) if self.registry is not None else None
+        if family is None:
             return 0.0, 0.0
-        totals = self.source.histogram_totals(name, now)
-        if totals is None:
+        try:
+            child = family._default_child()
+        except ConfigurationError:
             return 0.0, 0.0
-        count, total = totals
-        d_count = count - self._sampled.get(name + "|count", 0.0)
-        d_sum = total - self._sampled.get(name + "|sum", 0.0)
-        self._sampled[name + "|count"] = count
-        self._sampled[name + "|sum"] = total
+        d_count = child.count - self._sampled.get(name + "|count", 0.0)
+        d_sum = child.sum - self._sampled.get(name + "|sum", 0.0)
+        self._sampled[name + "|count"] = child.count
+        self._sampled[name + "|sum"] = child.sum
         return d_count, d_sum
+
+    def _record_slo(
+        self, tracker: SloTracker, now: float, good: bool, count: int = 1
+    ) -> None:
+        """*count* SLO samples of one outcome, mirrored into ``slo_events_total``."""
+        for _ in range(count):
+            tracker.record(now, good)
+        if self.registry is None or count <= 0:
+            return
+        if self._slo_events is None:
+            self._slo_events = self.registry.counter(
+                "slo_events_total",
+                "SLO samples recorded, by objective and outcome",
+                ("slo", "outcome"),
+            )
+        self._slo_events.labels(
+            slo=tracker.name, outcome="good" if good else "bad"
+        ).inc(count)
 
     # -- the tick ----------------------------------------------------------
 
@@ -535,53 +524,42 @@ class HealthMonitor:
         alerts: list[Alert] = []
 
         # Poll-latency stream: per-tick mean from the histogram deltas.
-        d_count, d_sum = self._histogram_delta("verifier_poll_wall_seconds", now)
+        d_count, d_sum = self._histogram_delta("verifier_poll_wall_seconds")
         if d_count > 0:
             anomaly = self.latency.observe(now, d_sum / d_count)
             if anomaly is not None:
                 alerts.append(anomaly)
 
         # Failure-rate stream: per-tick fractions from the counters.
-        failed = self._counter_delta(
-            "verifier_polls_total", now, result="failed"
-        )
-        ok = self._counter_delta("verifier_polls_total", now, result="ok")
+        failed = self._counter_delta("verifier_polls_total", result="failed")
+        ok = self._counter_delta("verifier_polls_total", result="ok")
         spike = self.failure_rate.observe(now, int(failed), int(failed + ok))
         if spike is not None:
             alerts.append(spike)
 
         # Saturation stream: the batch scheduler's tick-budget
         # accounting (repro.obs.capacity).  Counter deltas give this
-        # tick's activity; the gauges give the accountant's current
-        # state -- both through the source API, so the seed registry
-        # path and the TSDB path stay alert-for-alert identical.
-        ticks = self._counter_delta("fleet_ticks_total", now)
-        overruns = self._counter_delta("fleet_tick_overruns_total", now)
-        saturated = utilization = budget = None
-        if self.source is not None:
-            saturated = self.source.counter_value("fleet_saturated", {}, now)
-            utilization = self.source.counter_value(
-                "fleet_tick_utilization", {}, now
-            )
-            budget = self.source.counter_value(
-                "fleet_tick_budget_seconds", {}, now
-            )
+        # tick's activity; the gauges give the accountant's current state.
+        ticks = self._counter_delta("fleet_ticks_total")
+        overruns = self._counter_delta("fleet_tick_overruns_total")
         congestion = self.saturation.observe(
             now,
-            saturated=bool(saturated),
-            utilization=utilization,
+            saturated=bool(self._counter_value("fleet_saturated")),
+            utilization=self._counter_value("fleet_tick_utilization"),
             overruns=overruns,
             ticks=ticks,
-            budget=budget,
+            budget=self._counter_value("fleet_tick_budget_seconds"),
         )
         if congestion is not None:
             alerts.append(congestion)
-        if self.slos.freshness_headroom is not None and ticks > 0:
+        if ticks > 0:
             # One headroom sample per accounted tick, bad per overrun.
             total = min(int(round(ticks)), 10_000)
             bad = min(int(round(overruns)), total)
-            for index in range(total):
-                self.slos.freshness_headroom.record(now, index >= bad)
+            self._record_slo(self.slos.freshness_headroom, now, False, bad)
+            self._record_slo(
+                self.slos.freshness_headroom, now, True, total - bad
+            )
 
         # Coverage gaps + the freshness SLO.
         gap_alerts = self.gaps.check(now)
@@ -594,14 +572,16 @@ class HealthMonitor:
                 self._latency_sampled_gaps.add(key)
                 latency = now - alert.detail["gap_started"]
                 target = self.detection_target_polls * alert.detail["poll_interval"]
-                self.slos.detection_latency.record(now, latency <= target)
+                self._record_slo(
+                    self.slos.detection_latency, now, latency <= target
+                )
         alerts.extend(gap_alerts)
 
         for agent_id in self.gaps.agents():
             interval = self.gaps._agents[agent_id].poll_interval
             age = self.gaps.freshness(agent_id, now)
             fresh = age <= self.freshness_target_polls * interval
-            self.slos.freshness.record(now, fresh)
+            self._record_slo(self.slos.freshness, now, fresh)
             if self.registry is not None:
                 self.registry.gauge(
                     "obs_agent_attestation_age_seconds",
@@ -635,18 +615,12 @@ class HealthWatch:
         on_frame: Callable[[float, "HealthWatch"], None] | None = None,
         frame_every: int = 0,
         incident_lookback_polls: float = 8.0,
-        observatory=None,
     ) -> None:
         self.gap_polls = gap_polls
         self.tick_interval = tick_interval
         self.on_frame = on_frame
         self.frame_every = frame_every
         self.incident_lookback_polls = incident_lookback_polls
-        # When a repro.obs.rules.Observatory is supplied, the monitor's
-        # detectors and SLO trackers run on TSDB history instead of
-        # private registry sampling; each tick collects (scrape + rules)
-        # before checking, so instants at `now` are this tick's scrape.
-        self.observatory = observatory
         self.monitor: HealthMonitor | None = None
         self.engine: AlertEngine | None = None
         self.correlator: IncidentCorrelator | None = None
@@ -666,16 +640,8 @@ class HealthWatch:
     ) -> "HealthWatch":
         """Bind to a run's plumbing; returns self for chaining."""
         self.poll_interval = poll_interval
-        source = None
-        slos = None
-        if self.observatory is not None:
-            if registry is not None and not self.observatory.bound:
-                self.observatory.bind(registry)
-            source = self.observatory.health_source()
-            slos = self.observatory.slos()
         self.monitor = HealthMonitor(
-            events, registry=registry, gap_polls=self.gap_polls,
-            source=source, slos=slos,
+            events, registry=registry, gap_polls=self.gap_polls
         )
         self.engine = AlertEngine(events)
         self.engine.add_rules(
@@ -703,8 +669,6 @@ class HealthWatch:
 
     def tick(self, now: float) -> list[Alert]:
         """One watch cycle: detect, alert, correlate; returns new alerts."""
-        if self.observatory is not None:
-            self.observatory.collect(now)
         signals = self.monitor.check(now)
         fired = self.engine.ingest(signals, now)
         fired.extend(self.engine.evaluate(now))

@@ -317,25 +317,6 @@ class TestObsCapacity:
         assert "no fleet tick accounting" in capsys.readouterr().out
 
 
-class TestObsWatchTsdb:
-    def test_watch_tsdb_flag_runs_detectors_from_the_store(
-        self, tmp_path, capsys
-    ):
-        path = tmp_path / "watch.jsonl"
-        assert main([
-            "--fillers", "5", "--seed", "cli-watch-tsdb",
-            "obs", "watch", "--days", "1", "--nodes", "2", "--once",
-            "--tsdb", "--jsonl", str(path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "SLOs" in out
-        from repro.obs.exporters import load_jsonl
-
-        records = load_jsonl(path.read_text())
-        kinds = {record.get("type") for record in records}
-        assert "tsdb_series" in kinds and "tsdb_meta" in kinds
-
-
 class TestObsTrace:
     @pytest.fixture(scope="class")
     def fleet_export(self, tmp_path_factory):

@@ -419,6 +419,41 @@ class TestHealthMonitor:
         assert age.labels(agent="agent-a").value == 5 * POLL
         assert registry.get("obs_coverage_gaps_active").value == 1
 
+    def test_slo_samples_mirror_into_slo_events_total(self):
+        registry = MetricsRegistry()
+        events, monitor = self._monitor(registry=registry)
+        self._ok(events, POLL)
+        events.emit(
+            2 * POLL, "keylime.verifier", "attestation.failed.policy",
+            agent="agent-a", detail="nope",
+        )
+        monitor.check(3 * POLL)
+        family = registry.get("slo_events_total")
+        assert family.labels(slo="poll_success", outcome="good").value == 1.0
+        assert family.labels(slo="poll_success", outcome="bad").value == 1.0
+        assert family.labels(
+            slo="attestation_freshness", outcome="good").value == 1.0
+        # The mirror counts exactly what the exact trackers hold.
+        assert monitor.slos.poll_success.total == 2
+        assert monitor.slos.freshness.total == 1
+
+    def test_headroom_samples_one_per_tick_bad_per_overrun(self):
+        registry = MetricsRegistry()
+        events, monitor = self._monitor(registry=registry)
+        registry.counter("fleet_ticks_total").inc(5)
+        registry.counter("fleet_tick_overruns_total").inc(2)
+        monitor.check(POLL)
+        assert monitor.slos.freshness_headroom.window_counts(POLL, POLL) == (5, 2)
+        family = registry.get("slo_events_total")
+        assert family.labels(slo="freshness_headroom", outcome="good").value == 3.0
+        assert family.labels(slo="freshness_headroom", outcome="bad").value == 2.0
+        # A tick with no overrun adds good samples only.
+        registry.counter("fleet_ticks_total").inc(1)
+        monitor.check(2 * POLL)
+        assert monitor.slos.freshness_headroom.window_counts(
+            2 * POLL, 2 * POLL) == (6, 2)
+        assert family.labels(slo="freshness_headroom", outcome="bad").value == 2.0
+
     def test_close_unsubscribes(self):
         events, monitor = self._monitor()
         monitor.close()
